@@ -36,25 +36,32 @@ impl Table {
         self.rows.push(TableRow { label: label.into(), values, ours });
     }
 
-    /// Render as an aligned text table.
+    /// Render as an aligned text table. Each value column is as wide as
+    /// its header plus one space (at least 14), so long headers never run
+    /// together; widths count characters, not bytes.
     pub fn render(&self) -> String {
         let mut out = String::new();
         let _ = writeln!(out, "{}", self.title);
-        let _ = writeln!(out, "{}", "=".repeat(self.title.len()));
-        let label_w = self.rows.iter().map(|r| r.label.len() + 2).chain([12]).max().unwrap_or(12);
+        let _ = writeln!(out, "{}", "=".repeat(self.title.chars().count()));
+        let label_w =
+            self.rows.iter().map(|r| r.label.chars().count() + 2).chain([12]).max().unwrap_or(12);
         let _ = write!(out, "{:label_w$}", "runtime");
+        let mut widths = Vec::with_capacity(self.columns.len());
         for c in &self.columns {
             // An empty unit means the columns name their own units.
             let header =
                 if self.unit.is_empty() { c.clone() } else { format!("{c} [{}]", self.unit) };
-            let _ = write!(out, "{:>14}", header);
+            let w = (header.chars().count() + 1).max(14);
+            let _ = write!(out, "{header:>w$}");
+            widths.push(w);
         }
         let _ = writeln!(out);
         for r in &self.rows {
             let marker = if r.ours { "* " } else { "  " };
             let _ = write!(out, "{:label_w$}", format!("{marker}{}", r.label));
-            for v in &r.values {
-                let _ = write!(out, "{:>14.2}", v);
+            for (i, v) in r.values.iter().enumerate() {
+                let w = widths.get(i).copied().unwrap_or(14);
+                let _ = write!(out, "{v:>w$.2}");
             }
             let _ = writeln!(out);
         }
@@ -126,5 +133,39 @@ mod tests {
         assert!(csv.contains("crun-wasmtime,15.1000,15.0000,false"));
         assert_eq!(t.value("wamr", 1), Some(5.4));
         assert!(t.ours().unwrap().ours);
+    }
+
+    #[test]
+    fn render_keeps_long_headers_apart_and_counts_chars() {
+        let title = "Overload 3\u{d7} \u{2192} 0.5\u{d7}";
+        let mut t = Table::new(
+            title,
+            vec!["baseline p99 ms".into(), "overload goodput rps".into(), "n".into()],
+            "",
+        );
+        t.row("crun-wamr (ours) \u{2013} wide", vec![12.5, 1234.0, 3.0], true);
+        t.row("crun-wasmtime", vec![1.0, 2.0, 3.0], false);
+        let text = t.render();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines[1], "=".repeat(title.chars().count()), "underline counts chars");
+        let header = lines[2];
+        assert!(header.contains(" baseline p99 ms overload goodput rps"), "{header}");
+        // Every row is as wide (in chars) as the header, so columns align.
+        let w = header.chars().count();
+        assert_eq!(w, 25 + 16 + 21 + 14);
+        for row in &lines[3..5] {
+            assert_eq!(row.chars().count(), w, "{row:?}");
+        }
+        assert_eq!(
+            lines[3],
+            "* crun-wamr (ours) \u{2013} wide           12.50              1234.00          3.00"
+        );
+        // CSV is unaffected by display widths.
+        assert_eq!(
+            t.to_csv(),
+            "runtime,baseline p99 ms,overload goodput rps,n,ours\n\
+             crun-wamr (ours) \u{2013} wide,12.5000,1234.0000,3.0000,true\n\
+             crun-wasmtime,1.0000,2.0000,3.0000,false\n"
+        );
     }
 }

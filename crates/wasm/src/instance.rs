@@ -113,6 +113,22 @@ struct EpochState {
 }
 
 impl EpochState {
+    /// Retiring `n` instructions crosses one or more tick boundaries:
+    /// advance the shared clock and check the deadline (the epoch
+    /// "safepoint"). Out of line: it runs once per `tick_instrs`, while
+    /// [`Instance::burn`] runs once per executed op on both tiers.
+    #[cold]
+    #[inline(never)]
+    fn tick(&mut self, n: u64) -> Result<(), Trap> {
+        let past = n - self.until_tick;
+        let ticks = 1 + past / self.tick_instrs;
+        self.until_tick = self.tick_instrs - past % self.tick_instrs;
+        if self.clock.advance(ticks) >= self.deadline {
+            return Err(Trap::Interrupted);
+        }
+        Ok(())
+    }
+
     fn new(cfg: EpochConfig) -> EpochState {
         let tick_instrs = cfg.tick_instrs.max(1);
         EpochState {
@@ -481,17 +497,9 @@ impl Instance {
         }
         if let Some(ep) = &mut self.epoch {
             if n >= ep.until_tick {
-                // Crossed one or more tick boundaries: advance the shared
-                // clock and check the deadline (the epoch "safepoint").
-                let past = n - ep.until_tick;
-                let ticks = 1 + past / ep.tick_instrs;
-                ep.until_tick = ep.tick_instrs - past % ep.tick_instrs;
-                if ep.clock.advance(ticks) >= ep.deadline {
-                    return Err(Trap::Interrupted);
-                }
-            } else {
-                ep.until_tick -= n;
+                return ep.tick(n);
             }
+            ep.until_tick -= n;
         }
         Ok(())
     }

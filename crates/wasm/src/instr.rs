@@ -1,9 +1,11 @@
 //! Instructions: the MVP opcode space, a streaming reader, and a writer.
 //!
 //! The same [`read_instr`] routine is used by the module decoder, the
-//! validator, the control side-table builder, the in-place interpreter and
-//! the lowering pass, so there is exactly one definition of the binary
-//! instruction grammar in the workspace.
+//! validator, the control side-table builder and the lowering pass, so
+//! there is exactly one definition of the binary instruction grammar in the
+//! workspace. The in-place interpreter dispatches on the [`op`] bytes
+//! directly and reads immediates with the same LEB128, memarg and
+//! block-type readers, so it builds no [`Instruction`] for an executed op.
 
 use crate::error::DecodeError;
 use crate::leb128;
@@ -397,7 +399,10 @@ pub mod op {
     pub const F64_REINTERPRET_I64: u8 = 0xbf;
 }
 
-fn read_block_type(buf: &[u8]) -> Result<(BlockType, usize), DecodeError> {
+// Shared with the in-place interpreter's immediate readers. `#[inline]`
+// keeps them folded into `read_instr`, the decoder's and validator's loop.
+#[inline]
+pub(crate) fn read_block_type(buf: &[u8]) -> Result<(BlockType, usize), DecodeError> {
     let b = *buf.first().ok_or(DecodeError::UnexpectedEof)?;
     match b {
         0x40 => Ok((BlockType::Empty, 1)),
@@ -421,7 +426,8 @@ fn write_block_type(out: &mut Vec<u8>, bt: BlockType) {
     }
 }
 
-fn read_memarg(buf: &[u8]) -> Result<(MemArg, usize), DecodeError> {
+#[inline]
+pub(crate) fn read_memarg(buf: &[u8]) -> Result<(MemArg, usize), DecodeError> {
     let (align, n1) = leb128::read_u32(buf)?;
     let (offset, n2) = leb128::read_u32(&buf[n1..])?;
     Ok((MemArg { align, offset }, n1 + n2))

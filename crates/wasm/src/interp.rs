@@ -7,13 +7,23 @@
 //! instance. This is how WAMR's classic interpreter keeps per-instance
 //! memory near zero, which — multiplied by 400 containers — is the paper's
 //! headline result.
+//!
+//! The loop dispatches on each opcode byte and reads its immediates inline
+//! from the borrowed code (one-byte LEB128 fast case, the shared readers
+//! otherwise): simple opcodes go to `numeric::exec_simple`, control opcodes
+//! are handled here. Straight-line code runs in an inner loop that stays in
+//! the current frame; only calls and function exits touch the frame stack.
+//! No decoded [`crate::Instruction`] is built for an executed op, and
+//! nothing is stored beyond the side tables.
 
 use std::sync::Arc;
 
 use bytelite::Bytes;
 
+use crate::error::DecodeError;
 use crate::instance::Instance;
-use crate::instr::{read_instr, Instruction};
+use crate::instr::{op, read_block_type, read_instr, read_memarg, Instruction};
+use crate::leb128;
 use crate::module::Module;
 use crate::numeric::{exec_simple, Simple};
 use crate::types::BlockType;
@@ -223,6 +233,89 @@ pub(crate) fn invoke(
     result
 }
 
+/// A code byte sequence that validation promised but execution could not
+/// read — a typed trap rather than a panic.
+pub(crate) fn decode_trap(e: DecodeError) -> Trap {
+    Trap::HostError(format!("decode during execution: {e}"))
+}
+
+/// Read a `u32` LEB128 immediate at `*pc` and advance past it. One-byte
+/// encodings (every index below 128) skip the general reader.
+#[inline(always)]
+pub(crate) fn imm_u32(code: &[u8], pc: &mut usize) -> Result<u32, Trap> {
+    if let Some(&b) = code.get(*pc) {
+        if b < 0x80 {
+            *pc += 1;
+            return Ok(b as u32);
+        }
+    }
+    imm_slow(code, pc, leb128::read_u32)
+}
+
+/// Read an `i32` SLEB128 immediate (one-byte fast case: −64..=63).
+#[inline(always)]
+pub(crate) fn imm_i32(code: &[u8], pc: &mut usize) -> Result<i32, Trap> {
+    if let Some(&b) = code.get(*pc) {
+        if b < 0x80 {
+            *pc += 1;
+            // Sign-extend the 7-bit payload.
+            return Ok(((b << 1) as i8 >> 1) as i32);
+        }
+    }
+    imm_slow(code, pc, leb128::read_i32)
+}
+
+/// Read an `i64` SLEB128 immediate (one-byte fast case: −64..=63).
+#[inline(always)]
+pub(crate) fn imm_i64(code: &[u8], pc: &mut usize) -> Result<i64, Trap> {
+    if let Some(&b) = code.get(*pc) {
+        if b < 0x80 {
+            *pc += 1;
+            return Ok(((b << 1) as i8 >> 1) as i64);
+        }
+    }
+    imm_slow(code, pc, leb128::read_i64)
+}
+
+/// Read a memarg immediate and return its offset (the alignment hint does
+/// not affect execution). Fast case: both fields one byte.
+#[inline(always)]
+pub(crate) fn imm_memarg_offset(code: &[u8], pc: &mut usize) -> Result<u32, Trap> {
+    if let Some(&[align, offset]) = code.get(*pc..*pc + 2) {
+        if align < 0x80 && offset < 0x80 {
+            *pc += 2;
+            return Ok(offset as u32);
+        }
+    }
+    imm_slow(code, pc, read_memarg).map(|m| m.offset)
+}
+
+/// The general path of the immediate readers: one of the shared decoders,
+/// kept out of line so the dispatch loop stays small.
+#[inline(never)]
+fn imm_slow<T>(
+    code: &[u8],
+    pc: &mut usize,
+    read: impl Fn(&[u8]) -> Result<(T, usize), DecodeError>,
+) -> Result<T, Trap> {
+    let (v, n) = read(&code[*pc..]).map_err(decode_trap)?;
+    *pc += n;
+    Ok(v)
+}
+
+/// Retire one executed op: burn its fuel, service the epoch watchdog, and
+/// record the operand-stack depth it saw. Every executed op calls this
+/// exactly once, after its immediates are read and before it has any
+/// effect — the single accounting point of the in-place tier.
+#[inline(always)]
+pub(crate) fn retire(inst: &mut Instance, depth: usize) -> Result<(), Trap> {
+    inst.burn(1)?;
+    if depth as u64 > inst.stats.peak_stack_slots {
+        inst.stats.peak_stack_slots = depth as u64;
+    }
+    Ok(())
+}
+
 /// The interpreter main loop, operating on a borrowed operand stack.
 fn run(
     inst: &mut Instance,
@@ -233,142 +326,122 @@ fn run(
     let arg_slots: Vec<Slot> = args.iter().map(|v| v.to_slot()).collect();
     let mut frames = vec![make_frame(inst, func_idx, &arg_slots, 0)?];
 
-    'outer: loop {
-        let frame = frames.last_mut().expect("at least one frame");
-        // Function epilogue: natural fall-through past the final `end`, or a
-        // branch that jumped past it.
-        if frame.pc >= frame.code.len() {
-            let results = frame.results;
-            let base = frame.base;
-            shift_down(stack, base, results);
-            let done = frames.pop().expect("frame being popped");
-            recycle_frame(inst, done);
-            if frames.is_empty() {
-                break 'outer;
-            }
-            continue;
-        }
+    // One iteration per frame activation: entry, or resumption after a call.
+    'frame: while let Some(frame) = frames.last_mut() {
+        let code: &[u8] = &frame.code;
+        let side: &SideTable = &frame.side;
+        let locals = &mut frame.locals;
+        let labels = &mut frame.labels;
+        let mut pc = frame.pc;
 
-        let at = frame.pc;
-        let (instr, n) = read_instr(&frame.code[at..])
-            .map_err(|e| Trap::HostError(format!("decode during execution: {e}")))?;
-        frame.pc += n;
-        inst.burn(1)?;
-        if stack.len() as u64 > inst.stats.peak_stack_slots {
-            inst.stats.peak_stack_slots = stack.len() as u64;
-        }
-
-        // Fast path: simple instructions shared with the lowered tier.
-        // (Re-borrow pieces to satisfy the borrow checker.)
-        {
-            let frame = frames.last_mut().expect("frame");
-            match exec_simple(
-                &instr,
-                stack,
-                &mut frame.locals,
-                &mut inst.globals,
-                &mut inst.memory,
-            )? {
-                Simple::Done => continue,
-                Simple::NotSimple => {}
+        // Straight-line execution within this frame. Leaves by `continue
+        // 'frame` on a call, or by `break` once `pc` is past the final
+        // `end` (fall-through, `return`, or a branch to the function label).
+        loop {
+            let at = pc;
+            let opcode = *code.get(pc).ok_or_else(|| decode_trap(DecodeError::UnexpectedEof))?;
+            pc += 1;
+            if let Simple::Done = exec_simple(opcode, code, &mut pc, stack, locals, inst)? {
+                continue;
             }
-        }
-
-        match instr {
-            Instruction::Unreachable => return Err(Trap::Unreachable),
-            Instruction::Block(bt) => {
-                let (params, results) = block_arity(&inst.module, bt);
-                let frame = frames.last_mut().expect("frame");
-                let entry = frame.side.lookup(at as u32);
-                frame.labels.push(Label {
-                    is_loop: false,
-                    end_pc: entry.end as usize,
-                    cont_pc: 0,
-                    height: stack.len() - params,
-                    br_arity: results,
-                });
-            }
-            Instruction::Loop(bt) => {
-                let (params, _results) = block_arity(&inst.module, bt);
-                let frame = frames.last_mut().expect("frame");
-                let entry = frame.side.lookup(at as u32);
-                frame.labels.push(Label {
-                    is_loop: true,
-                    end_pc: entry.end as usize,
-                    cont_pc: frame.pc,
-                    height: stack.len() - params,
-                    br_arity: params,
-                });
-            }
-            Instruction::If(bt) => {
-                let cond = stack.pop().expect("validated").i32();
-                let (params, results) = block_arity(&inst.module, bt);
-                let frame = frames.last_mut().expect("frame");
-                let entry = frame.side.lookup(at as u32);
-                if cond != 0 {
-                    frame.labels.push(Label {
+            match opcode {
+                op::UNREACHABLE => {
+                    retire(inst, stack.len())?;
+                    return Err(Trap::Unreachable);
+                }
+                op::BLOCK | op::LOOP | op::IF => {
+                    let (bt, n) = read_block_type(&code[pc..]).map_err(decode_trap)?;
+                    pc += n;
+                    retire(inst, stack.len())?;
+                    let (params, results) = block_arity(&inst.module, bt);
+                    let entry = side.lookup(at as u32);
+                    let mut label = Label {
                         is_loop: false,
                         end_pc: entry.end as usize,
                         cont_pc: 0,
-                        height: stack.len() - params,
+                        height: 0,
                         br_arity: results,
-                    });
-                } else if entry.else_ != u32::MAX {
-                    frame.pc = entry.else_ as usize;
-                    frame.labels.push(Label {
-                        is_loop: false,
-                        end_pc: entry.end as usize,
-                        cont_pc: 0,
-                        height: stack.len() - params,
-                        br_arity: results,
-                    });
-                } else {
-                    // No else: skip the whole construct.
-                    frame.pc = entry.end as usize + 1;
+                    };
+                    if opcode == op::LOOP {
+                        label.is_loop = true;
+                        label.cont_pc = pc;
+                        label.br_arity = params;
+                    } else if opcode == op::IF && stack.pop().expect("validated").i32() == 0 {
+                        if entry.else_ == u32::MAX {
+                            // No else: skip the whole construct.
+                            pc = entry.end as usize + 1;
+                            continue;
+                        }
+                        pc = entry.else_ as usize;
+                    }
+                    label.height = stack.len() - params;
+                    labels.push(label);
                 }
-            }
-            Instruction::Else => {
-                // End of the then-branch: jump to the matching `end`.
-                let frame = frames.last_mut().expect("frame");
-                let label = frame.labels.last().expect("validated: else has label");
-                frame.pc = label.end_pc;
-            }
-            Instruction::End => {
-                let frame = frames.last_mut().expect("frame");
-                frame.labels.pop();
-                // Function return is handled by the pc >= len check.
-            }
-            Instruction::Br(depth) => {
-                branch(frames.last_mut().expect("frame"), stack, depth);
-            }
-            Instruction::BrIf(depth) => {
-                let cond = stack.pop().expect("validated").i32();
-                if cond != 0 {
-                    branch(frames.last_mut().expect("frame"), stack, depth);
+                op::ELSE => {
+                    // End of the then-branch: jump to the matching `end`.
+                    retire(inst, stack.len())?;
+                    pc = labels.last().expect("validated: else has label").end_pc;
                 }
+                op::END => {
+                    retire(inst, stack.len())?;
+                    labels.pop();
+                    if pc >= code.len() {
+                        break;
+                    }
+                }
+                op::BR | op::BR_IF => {
+                    let depth = imm_u32(code, &mut pc)?;
+                    retire(inst, stack.len())?;
+                    if opcode == op::BR || stack.pop().expect("validated").i32() != 0 {
+                        pc = branch(labels, stack, depth);
+                        if pc >= code.len() {
+                            break;
+                        }
+                    }
+                }
+                op::BR_TABLE => {
+                    // Targets are read in place: skip to the selected entry
+                    // (or to the default past the last one) and read it.
+                    let count = imm_u32(code, &mut pc)?;
+                    retire(inst, stack.len())?;
+                    let idx = stack.pop().expect("validated").u32();
+                    for _ in 0..idx.min(count) {
+                        imm_u32(code, &mut pc)?;
+                    }
+                    let depth = imm_u32(code, &mut pc)?;
+                    pc = branch(labels, stack, depth);
+                    if pc >= code.len() {
+                        break;
+                    }
+                }
+                op::RETURN => {
+                    retire(inst, stack.len())?;
+                    break;
+                }
+                op::CALL | op::CALL_INDIRECT => {
+                    let f = if opcode == op::CALL {
+                        let f = imm_u32(code, &mut pc)?;
+                        retire(inst, stack.len())?;
+                        f
+                    } else {
+                        let type_idx = imm_u32(code, &mut pc)?;
+                        imm_u32(code, &mut pc)?; // table index (always 0 in the MVP)
+                        retire(inst, stack.len())?;
+                        let elem = stack.pop().expect("validated").u32() as usize;
+                        resolve_indirect(inst, type_idx, elem)?
+                    };
+                    frame.pc = pc;
+                    call(inst, &mut frames, stack, f)?;
+                    continue 'frame;
+                }
+                other => unreachable!("simple opcode {other:#04x} fell through"),
             }
-            Instruction::BrTable(data) => {
-                let idx = stack.pop().expect("validated").u32() as usize;
-                let depth = data.targets.get(idx).copied().unwrap_or(data.default);
-                branch(frames.last_mut().expect("frame"), stack, depth);
-            }
-            Instruction::Return => {
-                let frame = frames.last_mut().expect("frame");
-                // Jump past the function's final end; epilogue handles it.
-                frame.pc = frame.code.len();
-                shift_down(stack, frame.base, frame.results);
-                frame.labels.clear();
-            }
-            Instruction::Call(f) => {
-                call(inst, &mut frames, stack, f)?;
-            }
-            Instruction::CallIndirect { type_idx, .. } => {
-                let elem = stack.pop().expect("validated").u32() as usize;
-                let f = resolve_indirect(inst, type_idx, elem)?;
-                call(inst, &mut frames, stack, f)?;
-            }
-            other => unreachable!("simple instruction fell through: {other:?}"),
         }
+
+        // Function epilogue: results move down to the frame's base.
+        let done = frames.pop().expect("frame being popped");
+        shift_down(stack, done.base, done.results);
+        recycle_frame(inst, done);
     }
 
     Ok(())
@@ -386,17 +459,18 @@ fn resolve_indirect(inst: &Instance, type_idx: u32, elem: usize) -> Result<u32, 
     Ok(f)
 }
 
-/// Perform a branch to `depth` within the current frame.
-fn branch(frame: &mut Frame, stack: &mut Vec<Slot>, depth: u32) {
-    let li = frame.labels.len() - 1 - depth as usize;
-    let label = frame.labels[li];
+/// Perform a branch to `depth` within the current frame's labels; returns
+/// the new `pc`.
+fn branch(labels: &mut Vec<Label>, stack: &mut Vec<Slot>, depth: u32) -> usize {
+    let li = labels.len() - 1 - depth as usize;
+    let label = labels[li];
     shift_down(stack, label.height, label.br_arity);
     if label.is_loop {
-        frame.pc = label.cont_pc;
-        frame.labels.truncate(li + 1);
+        labels.truncate(li + 1);
+        label.cont_pc
     } else {
-        frame.pc = label.end_pc + 1;
-        frame.labels.truncate(li);
+        labels.truncate(li);
+        label.end_pc + 1
     }
 }
 

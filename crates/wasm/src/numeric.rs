@@ -1,68 +1,88 @@
-//! Shared execution of all *simple* (non-control, non-call) instructions.
+//! The in-place tier's execution of all *simple* (non-control, non-call)
+//! instructions, keyed on the raw opcode byte.
 //!
-//! Both execution tiers — the in-place interpreter and the lowered-code
-//! executor — delegate here, so the ~140 numeric/memory/variable opcodes
-//! have exactly one implementation, and the tier-equivalence property tests
-//! genuinely test the control-flow machinery rather than duplicated math.
+//! [`exec_simple`] is the one definition of the ~140 numeric, memory and
+//! variable opcodes' semantics on the in-place tier: it reads an op's
+//! immediates straight from the function's code bytes, retires the op, and
+//! applies it — no decoded instruction value in between. The lowered tier
+//! compiles the same opcodes to its own register code; the tier-equivalence
+//! property tests hold the two to the same results.
 
-use crate::instr::Instruction;
-use crate::memory::LinearMemory;
+use crate::instance::Instance;
+use crate::instr::op;
+use crate::interp::{decode_trap, imm_i32, imm_i64, imm_memarg_offset, imm_u32, retire};
 use crate::values::{nearest_f32, nearest_f64, trunc, Slot, Trap};
+use crate::DecodeError;
 
-/// Result of attempting to execute an instruction as "simple".
+/// Result of attempting to execute an opcode as "simple".
 pub(crate) enum Simple {
-    /// Executed; stack/locals/globals/memory updated.
+    /// Executed and retired; `pc`/stack/locals/globals/memory updated.
     Done,
-    /// Control-flow or call instruction — the tier must handle it.
+    /// Control-flow or call opcode — nothing read, retired or changed; the
+    /// interpreter loop must handle it.
     NotSimple,
 }
 
-#[inline]
+#[inline(always)]
 fn pop(stack: &mut Vec<Slot>) -> Slot {
     stack.pop().expect("validated stack")
 }
 
-/// Execute `i` if it is a simple instruction.
+/// Execute `opcode` (already consumed; `*pc` is just past it) if it is a
+/// simple instruction: read its immediates from `code`, advancing `*pc`;
+/// retire it ([`retire`]: fuel, epoch, peak stack); then apply it.
+#[inline(always)]
 pub(crate) fn exec_simple(
-    i: &Instruction,
+    opcode: u8,
+    code: &[u8],
+    pc: &mut usize,
     stack: &mut Vec<Slot>,
     locals: &mut [Slot],
-    globals: &mut [Slot],
-    memory: &mut Option<LinearMemory>,
+    inst: &mut Instance,
 ) -> Result<Simple, Trap> {
-    use Instruction as I;
+    macro_rules! retire {
+        () => {
+            retire(inst, stack.len())?
+        };
+    }
     macro_rules! mem {
         () => {
-            memory.as_mut().expect("validated memory access")
+            inst.memory.as_mut().expect("validated memory access")
         };
     }
     macro_rules! binop {
         (i32, $f:expr) => {{
+            retire!();
             let b = pop(stack).i32();
             let a = pop(stack).i32();
             stack.push(Slot::from_i32($f(a, b)));
         }};
         (u32, $f:expr) => {{
+            retire!();
             let b = pop(stack).u32();
             let a = pop(stack).u32();
             stack.push(Slot::from_u32($f(a, b)));
         }};
         (i64, $f:expr) => {{
+            retire!();
             let b = pop(stack).i64();
             let a = pop(stack).i64();
             stack.push(Slot::from_i64($f(a, b)));
         }};
         (u64, $f:expr) => {{
+            retire!();
             let b = pop(stack).u64();
             let a = pop(stack).u64();
             stack.push(Slot::from_u64($f(a, b)));
         }};
         (f32, $f:expr) => {{
+            retire!();
             let b = pop(stack).f32();
             let a = pop(stack).f32();
             stack.push(Slot::from_f32($f(a, b)));
         }};
         (f64, $f:expr) => {{
+            retire!();
             let b = pop(stack).f64();
             let a = pop(stack).f64();
             stack.push(Slot::from_f64($f(a, b)));
@@ -70,6 +90,7 @@ pub(crate) fn exec_simple(
     }
     macro_rules! relop {
         ($getter:ident, $f:expr) => {{
+            retire!();
             let b = pop(stack).$getter();
             let a = pop(stack).$getter();
             stack.push(Slot::from_bool($f(&a, &b)));
@@ -77,326 +98,349 @@ pub(crate) fn exec_simple(
     }
     macro_rules! unop {
         ($getter:ident, $from:ident, $f:expr) => {{
+            retire!();
             let a = pop(stack).$getter();
             stack.push(Slot::$from($f(a)));
         }};
     }
+    // Division, remainder and float→int truncation: a binop/unop that can
+    // trap after popping its operands.
+    macro_rules! trapping {
+        (2, $get:ident, $from:ident, $f:expr) => {{
+            retire!();
+            let b = pop(stack).$get();
+            let a = pop(stack).$get();
+            stack.push(Slot::$from($f(a, b)?));
+        }};
+        (1, $get:ident, $from:ident, $f:expr) => {{
+            retire!();
+            let a = pop(stack).$get();
+            stack.push(Slot::$from($f(a)?));
+        }};
+    }
     macro_rules! load {
-        ($a:expr, $n:literal, $conv:expr) => {{
+        ($n:literal, $conv:expr) => {{
+            let offset = imm_memarg_offset(code, pc)?;
+            retire!();
             let addr = pop(stack).u32();
-            let bytes: [u8; $n] = mem!().read(addr, $a.offset)?;
+            let bytes: [u8; $n] = mem!().read(addr, offset)?;
             stack.push($conv(bytes));
         }};
     }
     macro_rules! store {
-        ($a:expr, $getter:ident, $to:expr) => {{
+        ($getter:ident, $to:expr) => {{
+            let offset = imm_memarg_offset(code, pc)?;
+            retire!();
             let v = pop(stack).$getter();
             let addr = pop(stack).u32();
-            mem!().write(addr, $a.offset, $to(v))?;
+            mem!().write(addr, offset, $to(v))?;
+        }};
+    }
+    // memory.size / memory.grow carry a reserved zero byte.
+    macro_rules! reserved_zero {
+        () => {
+            if imm_u32(code, pc)? != 0 {
+                return Err(decode_trap(DecodeError::Malformed("memory reserved byte".into())));
+            }
+        };
+    }
+    macro_rules! float_bytes {
+        ($n:literal) => {{
+            let bytes: [u8; $n] = code
+                .get(*pc..*pc + $n)
+                .and_then(|b| b.try_into().ok())
+                .ok_or_else(|| decode_trap(DecodeError::UnexpectedEof))?;
+            *pc += $n;
+            bytes
         }};
     }
 
-    match i {
-        I::Nop => {}
-        I::Drop => {
+    match opcode {
+        // Control flow and calls are the interpreter loop's.
+        op::UNREACHABLE
+        | op::BLOCK
+        | op::LOOP
+        | op::IF
+        | op::ELSE
+        | op::END
+        | op::BR
+        | op::BR_IF
+        | op::BR_TABLE
+        | op::RETURN
+        | op::CALL
+        | op::CALL_INDIRECT => return Ok(Simple::NotSimple),
+
+        op::NOP => retire!(),
+        op::DROP => {
+            retire!();
             pop(stack);
         }
-        I::Select => {
+        op::SELECT => {
+            retire!();
             let c = pop(stack).i32();
             let b = pop(stack);
             let a = pop(stack);
             stack.push(if c != 0 { a } else { b });
         }
-        I::LocalGet(idx) => stack.push(locals[*idx as usize]),
-        I::LocalSet(idx) => locals[*idx as usize] = pop(stack),
-        I::LocalTee(idx) => locals[*idx as usize] = *stack.last().expect("validated"),
-        I::GlobalGet(idx) => stack.push(globals[*idx as usize]),
-        I::GlobalSet(idx) => globals[*idx as usize] = pop(stack),
+        op::LOCAL_GET => {
+            let idx = imm_u32(code, pc)? as usize;
+            retire!();
+            stack.push(locals[idx]);
+        }
+        op::LOCAL_SET => {
+            let idx = imm_u32(code, pc)? as usize;
+            retire!();
+            locals[idx] = pop(stack);
+        }
+        op::LOCAL_TEE => {
+            let idx = imm_u32(code, pc)? as usize;
+            retire!();
+            locals[idx] = *stack.last().expect("validated");
+        }
+        op::GLOBAL_GET => {
+            let idx = imm_u32(code, pc)? as usize;
+            retire!();
+            stack.push(inst.globals[idx]);
+        }
+        op::GLOBAL_SET => {
+            let idx = imm_u32(code, pc)? as usize;
+            retire!();
+            inst.globals[idx] = pop(stack);
+        }
 
-        I::I32Load(a) => load!(a, 4, |b| Slot::from_u32(u32::from_le_bytes(b))),
-        I::I64Load(a) => load!(a, 8, |b| Slot::from_u64(u64::from_le_bytes(b))),
-        I::F32Load(a) => load!(a, 4, |b| Slot::from_u32(u32::from_le_bytes(b))),
-        I::F64Load(a) => load!(a, 8, |b| Slot::from_u64(u64::from_le_bytes(b))),
-        I::I32Load8S(a) => load!(a, 1, |b: [u8; 1]| Slot::from_i32(b[0] as i8 as i32)),
-        I::I32Load8U(a) => load!(a, 1, |b: [u8; 1]| Slot::from_u32(b[0] as u32)),
-        I::I32Load16S(a) => {
-            load!(a, 2, |b| Slot::from_i32(i16::from_le_bytes(b) as i32))
-        }
-        I::I32Load16U(a) => {
-            load!(a, 2, |b| Slot::from_u32(u16::from_le_bytes(b) as u32))
-        }
-        I::I64Load8S(a) => load!(a, 1, |b: [u8; 1]| Slot::from_i64(b[0] as i8 as i64)),
-        I::I64Load8U(a) => load!(a, 1, |b: [u8; 1]| Slot::from_u64(b[0] as u64)),
-        I::I64Load16S(a) => {
-            load!(a, 2, |b| Slot::from_i64(i16::from_le_bytes(b) as i64))
-        }
-        I::I64Load16U(a) => {
-            load!(a, 2, |b| Slot::from_u64(u16::from_le_bytes(b) as u64))
-        }
-        I::I64Load32S(a) => {
-            load!(a, 4, |b| Slot::from_i64(i32::from_le_bytes(b) as i64))
-        }
-        I::I64Load32U(a) => {
-            load!(a, 4, |b| Slot::from_u64(u32::from_le_bytes(b) as u64))
-        }
-        I::I32Store(a) => store!(a, u32, |v: u32| v.to_le_bytes()),
-        I::I64Store(a) => store!(a, u64, |v: u64| v.to_le_bytes()),
-        I::F32Store(a) => store!(a, u32, |v: u32| v.to_le_bytes()),
-        I::F64Store(a) => store!(a, u64, |v: u64| v.to_le_bytes()),
-        I::I32Store8(a) => store!(a, u32, |v: u32| [v as u8]),
-        I::I32Store16(a) => store!(a, u32, |v: u32| (v as u16).to_le_bytes()),
-        I::I64Store8(a) => store!(a, u64, |v: u64| [v as u8]),
-        I::I64Store16(a) => store!(a, u64, |v: u64| (v as u16).to_le_bytes()),
-        I::I64Store32(a) => store!(a, u64, |v: u64| (v as u32).to_le_bytes()),
-        I::MemorySize => {
+        op::I32_LOAD => load!(4, |b| Slot::from_u32(u32::from_le_bytes(b))),
+        op::I64_LOAD => load!(8, |b| Slot::from_u64(u64::from_le_bytes(b))),
+        op::F32_LOAD => load!(4, |b| Slot::from_u32(u32::from_le_bytes(b))),
+        op::F64_LOAD => load!(8, |b| Slot::from_u64(u64::from_le_bytes(b))),
+        op::I32_LOAD8_S => load!(1, |b: [u8; 1]| Slot::from_i32(b[0] as i8 as i32)),
+        op::I32_LOAD8_U => load!(1, |b: [u8; 1]| Slot::from_u32(b[0] as u32)),
+        op::I32_LOAD16_S => load!(2, |b| Slot::from_i32(i16::from_le_bytes(b) as i32)),
+        op::I32_LOAD16_U => load!(2, |b| Slot::from_u32(u16::from_le_bytes(b) as u32)),
+        op::I64_LOAD8_S => load!(1, |b: [u8; 1]| Slot::from_i64(b[0] as i8 as i64)),
+        op::I64_LOAD8_U => load!(1, |b: [u8; 1]| Slot::from_u64(b[0] as u64)),
+        op::I64_LOAD16_S => load!(2, |b| Slot::from_i64(i16::from_le_bytes(b) as i64)),
+        op::I64_LOAD16_U => load!(2, |b| Slot::from_u64(u16::from_le_bytes(b) as u64)),
+        op::I64_LOAD32_S => load!(4, |b| Slot::from_i64(i32::from_le_bytes(b) as i64)),
+        op::I64_LOAD32_U => load!(4, |b| Slot::from_u64(u32::from_le_bytes(b) as u64)),
+        op::I32_STORE => store!(u32, |v: u32| v.to_le_bytes()),
+        op::I64_STORE => store!(u64, |v: u64| v.to_le_bytes()),
+        op::F32_STORE => store!(u32, |v: u32| v.to_le_bytes()),
+        op::F64_STORE => store!(u64, |v: u64| v.to_le_bytes()),
+        op::I32_STORE8 => store!(u32, |v: u32| [v as u8]),
+        op::I32_STORE16 => store!(u32, |v: u32| (v as u16).to_le_bytes()),
+        op::I64_STORE8 => store!(u64, |v: u64| [v as u8]),
+        op::I64_STORE16 => store!(u64, |v: u64| (v as u16).to_le_bytes()),
+        op::I64_STORE32 => store!(u64, |v: u64| (v as u32).to_le_bytes()),
+        op::MEMORY_SIZE => {
+            reserved_zero!();
+            retire!();
             let pages = mem!().size_pages();
             stack.push(Slot::from_u32(pages));
         }
-        I::MemoryGrow => {
+        op::MEMORY_GROW => {
+            reserved_zero!();
+            retire!();
             let delta = pop(stack).u32();
             let r = mem!().grow(delta);
             stack.push(Slot::from_i32(r));
         }
 
-        I::I32Const(v) => stack.push(Slot::from_i32(*v)),
-        I::I64Const(v) => stack.push(Slot::from_i64(*v)),
-        I::F32Const(v) => stack.push(Slot::from_f32(*v)),
-        I::F64Const(v) => stack.push(Slot::from_f64(*v)),
+        op::I32_CONST => {
+            let v = imm_i32(code, pc)?;
+            retire!();
+            stack.push(Slot::from_i32(v));
+        }
+        op::I64_CONST => {
+            let v = imm_i64(code, pc)?;
+            retire!();
+            stack.push(Slot::from_i64(v));
+        }
+        op::F32_CONST => {
+            let v = f32::from_le_bytes(float_bytes!(4));
+            retire!();
+            stack.push(Slot::from_f32(v));
+        }
+        op::F64_CONST => {
+            let v = f64::from_le_bytes(float_bytes!(8));
+            retire!();
+            stack.push(Slot::from_f64(v));
+        }
 
-        I::I32Eqz => unop!(i32, from_bool, |a| a == 0),
-        I::I32Eq => relop!(i32, i32::eq),
-        I::I32Ne => relop!(i32, i32::ne),
-        I::I32LtS => relop!(i32, i32::lt),
-        I::I32LtU => relop!(u32, u32::lt),
-        I::I32GtS => relop!(i32, i32::gt),
-        I::I32GtU => relop!(u32, u32::gt),
-        I::I32LeS => relop!(i32, i32::le),
-        I::I32LeU => relop!(u32, u32::le),
-        I::I32GeS => relop!(i32, i32::ge),
-        I::I32GeU => relop!(u32, u32::ge),
-        I::I64Eqz => unop!(i64, from_bool, |a| a == 0),
-        I::I64Eq => relop!(i64, i64::eq),
-        I::I64Ne => relop!(i64, i64::ne),
-        I::I64LtS => relop!(i64, i64::lt),
-        I::I64LtU => relop!(u64, u64::lt),
-        I::I64GtS => relop!(i64, i64::gt),
-        I::I64GtU => relop!(u64, u64::gt),
-        I::I64LeS => relop!(i64, i64::le),
-        I::I64LeU => relop!(u64, u64::le),
-        I::I64GeS => relop!(i64, i64::ge),
-        I::I64GeU => relop!(u64, u64::ge),
-        I::F32Eq => relop!(f32, |a: &f32, b: &f32| a == b),
-        I::F32Ne => relop!(f32, |a: &f32, b: &f32| a != b),
-        I::F32Lt => relop!(f32, |a: &f32, b: &f32| a < b),
-        I::F32Gt => relop!(f32, |a: &f32, b: &f32| a > b),
-        I::F32Le => relop!(f32, |a: &f32, b: &f32| a <= b),
-        I::F32Ge => relop!(f32, |a: &f32, b: &f32| a >= b),
-        I::F64Eq => relop!(f64, |a: &f64, b: &f64| a == b),
-        I::F64Ne => relop!(f64, |a: &f64, b: &f64| a != b),
-        I::F64Lt => relop!(f64, |a: &f64, b: &f64| a < b),
-        I::F64Gt => relop!(f64, |a: &f64, b: &f64| a > b),
-        I::F64Le => relop!(f64, |a: &f64, b: &f64| a <= b),
-        I::F64Ge => relop!(f64, |a: &f64, b: &f64| a >= b),
+        op::I32_EQZ => unop!(i32, from_bool, |a| a == 0),
+        op::I32_EQ => relop!(i32, i32::eq),
+        op::I32_NE => relop!(i32, i32::ne),
+        op::I32_LT_S => relop!(i32, i32::lt),
+        op::I32_LT_U => relop!(u32, u32::lt),
+        op::I32_GT_S => relop!(i32, i32::gt),
+        op::I32_GT_U => relop!(u32, u32::gt),
+        op::I32_LE_S => relop!(i32, i32::le),
+        op::I32_LE_U => relop!(u32, u32::le),
+        op::I32_GE_S => relop!(i32, i32::ge),
+        op::I32_GE_U => relop!(u32, u32::ge),
+        op::I64_EQZ => unop!(i64, from_bool, |a| a == 0),
+        op::I64_EQ => relop!(i64, i64::eq),
+        op::I64_NE => relop!(i64, i64::ne),
+        op::I64_LT_S => relop!(i64, i64::lt),
+        op::I64_LT_U => relop!(u64, u64::lt),
+        op::I64_GT_S => relop!(i64, i64::gt),
+        op::I64_GT_U => relop!(u64, u64::gt),
+        op::I64_LE_S => relop!(i64, i64::le),
+        op::I64_LE_U => relop!(u64, u64::le),
+        op::I64_GE_S => relop!(i64, i64::ge),
+        op::I64_GE_U => relop!(u64, u64::ge),
+        op::F32_EQ => relop!(f32, |a: &f32, b: &f32| a == b),
+        op::F32_NE => relop!(f32, |a: &f32, b: &f32| a != b),
+        op::F32_LT => relop!(f32, |a: &f32, b: &f32| a < b),
+        op::F32_GT => relop!(f32, |a: &f32, b: &f32| a > b),
+        op::F32_LE => relop!(f32, |a: &f32, b: &f32| a <= b),
+        op::F32_GE => relop!(f32, |a: &f32, b: &f32| a >= b),
+        op::F64_EQ => relop!(f64, |a: &f64, b: &f64| a == b),
+        op::F64_NE => relop!(f64, |a: &f64, b: &f64| a != b),
+        op::F64_LT => relop!(f64, |a: &f64, b: &f64| a < b),
+        op::F64_GT => relop!(f64, |a: &f64, b: &f64| a > b),
+        op::F64_LE => relop!(f64, |a: &f64, b: &f64| a <= b),
+        op::F64_GE => relop!(f64, |a: &f64, b: &f64| a >= b),
 
-        I::I32Clz => unop!(u32, from_u32, |a: u32| a.leading_zeros()),
-        I::I32Ctz => unop!(u32, from_u32, |a: u32| a.trailing_zeros()),
-        I::I32Popcnt => unop!(u32, from_u32, |a: u32| a.count_ones()),
-        I::I32Add => binop!(i32, i32::wrapping_add),
-        I::I32Sub => binop!(i32, i32::wrapping_sub),
-        I::I32Mul => binop!(i32, i32::wrapping_mul),
-        I::I32DivS => {
-            let b = pop(stack).i32();
-            let a = pop(stack).i32();
+        op::I32_CLZ => unop!(u32, from_u32, |a: u32| a.leading_zeros()),
+        op::I32_CTZ => unop!(u32, from_u32, |a: u32| a.trailing_zeros()),
+        op::I32_POPCNT => unop!(u32, from_u32, |a: u32| a.count_ones()),
+        op::I32_ADD => binop!(i32, i32::wrapping_add),
+        op::I32_SUB => binop!(i32, i32::wrapping_sub),
+        op::I32_MUL => binop!(i32, i32::wrapping_mul),
+        op::I32_DIV_S => trapping!(2, i32, from_i32, |a: i32, b: i32| {
             if b == 0 {
-                return Err(Trap::IntegerDivideByZero);
+                Err(Trap::IntegerDivideByZero)
+            } else if a == i32::MIN && b == -1 {
+                Err(Trap::IntegerOverflow)
+            } else {
+                Ok(a.wrapping_div(b))
             }
-            if a == i32::MIN && b == -1 {
-                return Err(Trap::IntegerOverflow);
-            }
-            stack.push(Slot::from_i32(a.wrapping_div(b)));
-        }
-        I::I32DivU => {
-            let b = pop(stack).u32();
-            let a = pop(stack).u32();
+        }),
+        op::I32_DIV_U => trapping!(2, u32, from_u32, |a: u32, b: u32| a
+            .checked_div(b)
+            .ok_or(Trap::IntegerDivideByZero)),
+        op::I32_REM_S => trapping!(2, i32, from_i32, |a: i32, b: i32| {
             if b == 0 {
-                return Err(Trap::IntegerDivideByZero);
+                Err(Trap::IntegerDivideByZero)
+            } else {
+                Ok(a.wrapping_rem(b))
             }
-            stack.push(Slot::from_u32(a / b));
-        }
-        I::I32RemS => {
-            let b = pop(stack).i32();
-            let a = pop(stack).i32();
-            if b == 0 {
-                return Err(Trap::IntegerDivideByZero);
-            }
-            stack.push(Slot::from_i32(a.wrapping_rem(b)));
-        }
-        I::I32RemU => {
-            let b = pop(stack).u32();
-            let a = pop(stack).u32();
-            if b == 0 {
-                return Err(Trap::IntegerDivideByZero);
-            }
-            stack.push(Slot::from_u32(a % b));
-        }
-        I::I32And => binop!(u32, |a, b| a & b),
-        I::I32Or => binop!(u32, |a, b| a | b),
-        I::I32Xor => binop!(u32, |a, b| a ^ b),
-        I::I32Shl => binop!(u32, |a: u32, b: u32| a.wrapping_shl(b)),
-        I::I32ShrS => {
+        }),
+        op::I32_REM_U => trapping!(2, u32, from_u32, |a: u32, b: u32| a
+            .checked_rem(b)
+            .ok_or(Trap::IntegerDivideByZero)),
+        op::I32_AND => binop!(u32, |a, b| a & b),
+        op::I32_OR => binop!(u32, |a, b| a | b),
+        op::I32_XOR => binop!(u32, |a, b| a ^ b),
+        op::I32_SHL => binop!(u32, |a: u32, b: u32| a.wrapping_shl(b)),
+        op::I32_SHR_S => {
+            retire!();
             let b = pop(stack).u32();
             let a = pop(stack).i32();
             stack.push(Slot::from_i32(a.wrapping_shr(b)));
         }
-        I::I32ShrU => binop!(u32, |a: u32, b: u32| a.wrapping_shr(b)),
-        I::I32Rotl => binop!(u32, |a: u32, b: u32| a.rotate_left(b & 31)),
-        I::I32Rotr => binop!(u32, |a: u32, b: u32| a.rotate_right(b & 31)),
-        I::I64Clz => unop!(u64, from_u64, |a: u64| a.leading_zeros() as u64),
-        I::I64Ctz => unop!(u64, from_u64, |a: u64| a.trailing_zeros() as u64),
-        I::I64Popcnt => unop!(u64, from_u64, |a: u64| a.count_ones() as u64),
-        I::I64Add => binop!(i64, i64::wrapping_add),
-        I::I64Sub => binop!(i64, i64::wrapping_sub),
-        I::I64Mul => binop!(i64, i64::wrapping_mul),
-        I::I64DivS => {
-            let b = pop(stack).i64();
-            let a = pop(stack).i64();
+        op::I32_SHR_U => binop!(u32, |a: u32, b: u32| a.wrapping_shr(b)),
+        op::I32_ROTL => binop!(u32, |a: u32, b: u32| a.rotate_left(b & 31)),
+        op::I32_ROTR => binop!(u32, |a: u32, b: u32| a.rotate_right(b & 31)),
+        op::I64_CLZ => unop!(u64, from_u64, |a: u64| a.leading_zeros() as u64),
+        op::I64_CTZ => unop!(u64, from_u64, |a: u64| a.trailing_zeros() as u64),
+        op::I64_POPCNT => unop!(u64, from_u64, |a: u64| a.count_ones() as u64),
+        op::I64_ADD => binop!(i64, i64::wrapping_add),
+        op::I64_SUB => binop!(i64, i64::wrapping_sub),
+        op::I64_MUL => binop!(i64, i64::wrapping_mul),
+        op::I64_DIV_S => trapping!(2, i64, from_i64, |a: i64, b: i64| {
             if b == 0 {
-                return Err(Trap::IntegerDivideByZero);
+                Err(Trap::IntegerDivideByZero)
+            } else if a == i64::MIN && b == -1 {
+                Err(Trap::IntegerOverflow)
+            } else {
+                Ok(a.wrapping_div(b))
             }
-            if a == i64::MIN && b == -1 {
-                return Err(Trap::IntegerOverflow);
-            }
-            stack.push(Slot::from_i64(a.wrapping_div(b)));
-        }
-        I::I64DivU => {
-            let b = pop(stack).u64();
-            let a = pop(stack).u64();
+        }),
+        op::I64_DIV_U => trapping!(2, u64, from_u64, |a: u64, b: u64| a
+            .checked_div(b)
+            .ok_or(Trap::IntegerDivideByZero)),
+        op::I64_REM_S => trapping!(2, i64, from_i64, |a: i64, b: i64| {
             if b == 0 {
-                return Err(Trap::IntegerDivideByZero);
+                Err(Trap::IntegerDivideByZero)
+            } else {
+                Ok(a.wrapping_rem(b))
             }
-            stack.push(Slot::from_u64(a / b));
-        }
-        I::I64RemS => {
-            let b = pop(stack).i64();
-            let a = pop(stack).i64();
-            if b == 0 {
-                return Err(Trap::IntegerDivideByZero);
-            }
-            stack.push(Slot::from_i64(a.wrapping_rem(b)));
-        }
-        I::I64RemU => {
-            let b = pop(stack).u64();
-            let a = pop(stack).u64();
-            if b == 0 {
-                return Err(Trap::IntegerDivideByZero);
-            }
-            stack.push(Slot::from_u64(a % b));
-        }
-        I::I64And => binop!(u64, |a, b| a & b),
-        I::I64Or => binop!(u64, |a, b| a | b),
-        I::I64Xor => binop!(u64, |a, b| a ^ b),
-        I::I64Shl => binop!(u64, |a: u64, b: u64| a.wrapping_shl(b as u32)),
-        I::I64ShrS => {
+        }),
+        op::I64_REM_U => trapping!(2, u64, from_u64, |a: u64, b: u64| a
+            .checked_rem(b)
+            .ok_or(Trap::IntegerDivideByZero)),
+        op::I64_AND => binop!(u64, |a, b| a & b),
+        op::I64_OR => binop!(u64, |a, b| a | b),
+        op::I64_XOR => binop!(u64, |a, b| a ^ b),
+        op::I64_SHL => binop!(u64, |a: u64, b: u64| a.wrapping_shl(b as u32)),
+        op::I64_SHR_S => {
+            retire!();
             let b = pop(stack).u64();
             let a = pop(stack).i64();
             stack.push(Slot::from_i64(a.wrapping_shr(b as u32)));
         }
-        I::I64ShrU => binop!(u64, |a: u64, b: u64| a.wrapping_shr(b as u32)),
-        I::I64Rotl => binop!(u64, |a: u64, b: u64| a.rotate_left((b & 63) as u32)),
-        I::I64Rotr => binop!(u64, |a: u64, b: u64| a.rotate_right((b & 63) as u32)),
+        op::I64_SHR_U => binop!(u64, |a: u64, b: u64| a.wrapping_shr(b as u32)),
+        op::I64_ROTL => binop!(u64, |a: u64, b: u64| a.rotate_left((b & 63) as u32)),
+        op::I64_ROTR => binop!(u64, |a: u64, b: u64| a.rotate_right((b & 63) as u32)),
 
-        I::F32Abs => unop!(f32, from_f32, f32::abs),
-        I::F32Neg => unop!(f32, from_f32, |a: f32| -a),
-        I::F32Ceil => unop!(f32, from_f32, f32::ceil),
-        I::F32Floor => unop!(f32, from_f32, f32::floor),
-        I::F32Trunc => unop!(f32, from_f32, f32::trunc),
-        I::F32Nearest => unop!(f32, from_f32, nearest_f32),
-        I::F32Sqrt => unop!(f32, from_f32, f32::sqrt),
-        I::F32Add => binop!(f32, |a, b| a + b),
-        I::F32Sub => binop!(f32, |a, b| a - b),
-        I::F32Mul => binop!(f32, |a, b| a * b),
-        I::F32Div => binop!(f32, |a, b| a / b),
-        I::F32Min => binop!(f32, wasm_min_f32),
-        I::F32Max => binop!(f32, wasm_max_f32),
-        I::F32Copysign => binop!(f32, f32::copysign),
-        I::F64Abs => unop!(f64, from_f64, f64::abs),
-        I::F64Neg => unop!(f64, from_f64, |a: f64| -a),
-        I::F64Ceil => unop!(f64, from_f64, f64::ceil),
-        I::F64Floor => unop!(f64, from_f64, f64::floor),
-        I::F64Trunc => unop!(f64, from_f64, f64::trunc),
-        I::F64Nearest => unop!(f64, from_f64, nearest_f64),
-        I::F64Sqrt => unop!(f64, from_f64, f64::sqrt),
-        I::F64Add => binop!(f64, |a, b| a + b),
-        I::F64Sub => binop!(f64, |a, b| a - b),
-        I::F64Mul => binop!(f64, |a, b| a * b),
-        I::F64Div => binop!(f64, |a, b| a / b),
-        I::F64Min => binop!(f64, wasm_min_f64),
-        I::F64Max => binop!(f64, wasm_max_f64),
-        I::F64Copysign => binop!(f64, f64::copysign),
+        op::F32_ABS => unop!(f32, from_f32, f32::abs),
+        op::F32_NEG => unop!(f32, from_f32, |a: f32| -a),
+        op::F32_CEIL => unop!(f32, from_f32, f32::ceil),
+        op::F32_FLOOR => unop!(f32, from_f32, f32::floor),
+        op::F32_TRUNC => unop!(f32, from_f32, f32::trunc),
+        op::F32_NEAREST => unop!(f32, from_f32, nearest_f32),
+        op::F32_SQRT => unop!(f32, from_f32, f32::sqrt),
+        op::F32_ADD => binop!(f32, |a, b| a + b),
+        op::F32_SUB => binop!(f32, |a, b| a - b),
+        op::F32_MUL => binop!(f32, |a, b| a * b),
+        op::F32_DIV => binop!(f32, |a, b| a / b),
+        op::F32_MIN => binop!(f32, wasm_min_f32),
+        op::F32_MAX => binop!(f32, wasm_max_f32),
+        op::F32_COPYSIGN => binop!(f32, f32::copysign),
+        op::F64_ABS => unop!(f64, from_f64, f64::abs),
+        op::F64_NEG => unop!(f64, from_f64, |a: f64| -a),
+        op::F64_CEIL => unop!(f64, from_f64, f64::ceil),
+        op::F64_FLOOR => unop!(f64, from_f64, f64::floor),
+        op::F64_TRUNC => unop!(f64, from_f64, f64::trunc),
+        op::F64_NEAREST => unop!(f64, from_f64, nearest_f64),
+        op::F64_SQRT => unop!(f64, from_f64, f64::sqrt),
+        op::F64_ADD => binop!(f64, |a, b| a + b),
+        op::F64_SUB => binop!(f64, |a, b| a - b),
+        op::F64_MUL => binop!(f64, |a, b| a * b),
+        op::F64_DIV => binop!(f64, |a, b| a / b),
+        op::F64_MIN => binop!(f64, wasm_min_f64),
+        op::F64_MAX => binop!(f64, wasm_max_f64),
+        op::F64_COPYSIGN => binop!(f64, f64::copysign),
 
-        I::I32WrapI64 => unop!(i64, from_i32, |a: i64| a as i32),
-        I::I32TruncF32S => {
-            let a = pop(stack).f32();
-            stack.push(Slot::from_i32(trunc::i32_from_f32(a)?));
-        }
-        I::I32TruncF32U => {
-            let a = pop(stack).f32();
-            stack.push(Slot::from_u32(trunc::u32_from_f32(a)?));
-        }
-        I::I32TruncF64S => {
-            let a = pop(stack).f64();
-            stack.push(Slot::from_i32(trunc::i32_from_f64(a)?));
-        }
-        I::I32TruncF64U => {
-            let a = pop(stack).f64();
-            stack.push(Slot::from_u32(trunc::u32_from_f64(a)?));
-        }
-        I::I64ExtendI32S => unop!(i32, from_i64, |a: i32| a as i64),
-        I::I64ExtendI32U => unop!(u32, from_u64, |a: u32| a as u64),
-        I::I64TruncF32S => {
-            let a = pop(stack).f32();
-            stack.push(Slot::from_i64(trunc::i64_from_f32(a)?));
-        }
-        I::I64TruncF32U => {
-            let a = pop(stack).f32();
-            stack.push(Slot::from_u64(trunc::u64_from_f32(a)?));
-        }
-        I::I64TruncF64S => {
-            let a = pop(stack).f64();
-            stack.push(Slot::from_i64(trunc::i64_from_f64(a)?));
-        }
-        I::I64TruncF64U => {
-            let a = pop(stack).f64();
-            stack.push(Slot::from_u64(trunc::u64_from_f64(a)?));
-        }
-        I::F32ConvertI32S => unop!(i32, from_f32, |a: i32| a as f32),
-        I::F32ConvertI32U => unop!(u32, from_f32, |a: u32| a as f32),
-        I::F32ConvertI64S => unop!(i64, from_f32, |a: i64| a as f32),
-        I::F32ConvertI64U => unop!(u64, from_f32, |a: u64| a as f32),
-        I::F32DemoteF64 => unop!(f64, from_f32, |a: f64| a as f32),
-        I::F64ConvertI32S => unop!(i32, from_f64, |a: i32| a as f64),
-        I::F64ConvertI32U => unop!(u32, from_f64, |a: u32| a as f64),
-        I::F64ConvertI64S => unop!(i64, from_f64, |a: i64| a as f64),
-        I::F64ConvertI64U => unop!(u64, from_f64, |a: u64| a as f64),
-        I::F64PromoteF32 => unop!(f32, from_f64, |a: f32| a as f64),
-        I::I32ReinterpretF32 => {} // bit pattern already in the slot
-        I::I64ReinterpretF64 => {}
-        I::F32ReinterpretI32 => {}
-        I::F64ReinterpretI64 => {}
+        op::I32_WRAP_I64 => unop!(i64, from_i32, |a: i64| a as i32),
+        op::I32_TRUNC_F32_S => trapping!(1, f32, from_i32, trunc::i32_from_f32),
+        op::I32_TRUNC_F32_U => trapping!(1, f32, from_u32, trunc::u32_from_f32),
+        op::I32_TRUNC_F64_S => trapping!(1, f64, from_i32, trunc::i32_from_f64),
+        op::I32_TRUNC_F64_U => trapping!(1, f64, from_u32, trunc::u32_from_f64),
+        op::I64_EXTEND_I32_S => unop!(i32, from_i64, |a: i32| a as i64),
+        op::I64_EXTEND_I32_U => unop!(u32, from_u64, |a: u32| a as u64),
+        op::I64_TRUNC_F32_S => trapping!(1, f32, from_i64, trunc::i64_from_f32),
+        op::I64_TRUNC_F32_U => trapping!(1, f32, from_u64, trunc::u64_from_f32),
+        op::I64_TRUNC_F64_S => trapping!(1, f64, from_i64, trunc::i64_from_f64),
+        op::I64_TRUNC_F64_U => trapping!(1, f64, from_u64, trunc::u64_from_f64),
+        op::F32_CONVERT_I32_S => unop!(i32, from_f32, |a: i32| a as f32),
+        op::F32_CONVERT_I32_U => unop!(u32, from_f32, |a: u32| a as f32),
+        op::F32_CONVERT_I64_S => unop!(i64, from_f32, |a: i64| a as f32),
+        op::F32_CONVERT_I64_U => unop!(u64, from_f32, |a: u64| a as f32),
+        op::F32_DEMOTE_F64 => unop!(f64, from_f32, |a: f64| a as f32),
+        op::F64_CONVERT_I32_S => unop!(i32, from_f64, |a: i32| a as f64),
+        op::F64_CONVERT_I32_U => unop!(u32, from_f64, |a: u32| a as f64),
+        op::F64_CONVERT_I64_S => unop!(i64, from_f64, |a: i64| a as f64),
+        op::F64_CONVERT_I64_U => unop!(u64, from_f64, |a: u64| a as f64),
+        op::F64_PROMOTE_F32 => unop!(f32, from_f64, |a: f32| a as f64),
+        // Reinterpretations: the bit pattern is already in the slot.
+        op::I32_REINTERPRET_F32
+        | op::I64_REINTERPRET_F64
+        | op::F32_REINTERPRET_I32
+        | op::F64_REINTERPRET_I64 => retire!(),
 
-        // Control flow and calls are tier-specific.
-        I::Unreachable
-        | I::Block(_)
-        | I::Loop(_)
-        | I::If(_)
-        | I::Else
-        | I::End
-        | I::Br(_)
-        | I::BrIf(_)
-        | I::BrTable(_)
-        | I::Return
-        | I::Call(_)
-        | I::CallIndirect { .. } => return Ok(Simple::NotSimple),
+        other => return Err(decode_trap(DecodeError::BadOpcode(other))),
     }
     Ok(Simple::Done)
 }
@@ -468,14 +512,47 @@ pub(crate) fn wasm_max_f64(a: f64, b: f64) -> f64 {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
-    use crate::instr::MemArg;
+    use crate::instance::Imports;
+    use crate::instr::{write_instr, Instruction, MemArg};
+    use crate::memory::LinearMemory;
+    use crate::module::Module;
     use crate::types::Limits;
+
+    /// An instance with one memory page and one global, to execute single
+    /// opcodes against.
+    fn instance() -> Instance {
+        let mut inst =
+            Instance::instantiate(Arc::new(Module::default()), Imports::new(), Default::default())
+                .unwrap();
+        inst.memory = Some(LinearMemory::new(Limits::new(1, None)));
+        inst.globals = vec![Slot::from_i64(9)];
+        inst
+    }
+
+    /// Encode `i` and execute it through [`exec_simple`]; a simple op must
+    /// consume exactly its encoding.
+    fn exec(
+        i: Instruction,
+        stack: &mut Vec<Slot>,
+        locals: &mut [Slot],
+        inst: &mut Instance,
+    ) -> Result<Simple, Trap> {
+        let mut code = Vec::new();
+        write_instr(&mut code, &i);
+        let mut pc = 1;
+        let out = exec_simple(code[0], &code, &mut pc, stack, locals, inst);
+        if let Ok(Simple::Done) = out {
+            assert_eq!(pc, code.len(), "{i:?} consumed its immediates");
+        }
+        out
+    }
 
     fn run1(i: Instruction, inputs: &[Slot]) -> Result<Slot, Trap> {
         let mut stack = inputs.to_vec();
-        let mut mem = None;
-        exec_simple(&i, &mut stack, &mut [], &mut [], &mut mem)?;
+        exec(i, &mut stack, &mut [], &mut instance())?;
         Ok(stack.pop().unwrap())
     }
 
@@ -499,6 +576,18 @@ mod tests {
     }
 
     #[test]
+    fn constants_decode_every_leb_width() {
+        for v in [0, 63, -64, 64, -65, 1 << 20, i32::MIN, i32::MAX] {
+            assert_eq!(run1(Instruction::I32Const(v), &[]).unwrap().i32(), v);
+        }
+        for v in [0, -1, 63, -64, 64, i64::MIN, i64::MAX] {
+            assert_eq!(run1(Instruction::I64Const(v), &[]).unwrap().i64(), v);
+        }
+        assert_eq!(run1(Instruction::F32Const(-2.5), &[]).unwrap().f32(), -2.5);
+        assert_eq!(run1(Instruction::F64Const(0.125), &[]).unwrap().f64(), 0.125);
+    }
+
+    #[test]
     fn division_traps() {
         assert_eq!(
             run1(Instruction::I32DivS, &[Slot::from_i32(1), Slot::from_i32(0)]),
@@ -518,6 +607,10 @@ mod tests {
         assert_eq!(
             run1(Instruction::I64DivU, &[Slot::from_u64(7), Slot::from_u64(2)]).unwrap().u64(),
             3
+        );
+        assert_eq!(
+            run1(Instruction::I64RemU, &[Slot::from_u64(7), Slot::from_u64(0)]),
+            Err(Trap::IntegerDivideByZero)
         );
     }
 
@@ -551,58 +644,39 @@ mod tests {
     #[test]
     fn select_picks_by_condition() {
         let mut stack = vec![Slot::from_i32(10), Slot::from_i32(20), Slot::from_i32(1)];
-        exec_simple(&Instruction::Select, &mut stack, &mut [], &mut [], &mut None).unwrap();
+        exec(Instruction::Select, &mut stack, &mut [], &mut instance()).unwrap();
         assert_eq!(stack.pop().unwrap().i32(), 10);
     }
 
     #[test]
     fn locals_and_globals() {
+        let mut inst = instance();
         let mut stack = vec![];
-        let mut locals = [Slot::from_i32(5)];
-        let mut globals = [Slot::from_i64(9)];
-        exec_simple(&Instruction::LocalGet(0), &mut stack, &mut locals, &mut globals, &mut None)
-            .unwrap();
+        let mut locals = [Slot::from_i32(5); 200];
+        // Index 150 needs a two-byte LEB immediate.
+        exec(Instruction::LocalGet(150), &mut stack, &mut locals, &mut inst).unwrap();
         assert_eq!(stack.last().unwrap().i32(), 5);
-        exec_simple(&Instruction::LocalTee(0), &mut stack, &mut locals, &mut globals, &mut None)
-            .unwrap();
-        exec_simple(&Instruction::GlobalSet(0), &mut stack, &mut locals, &mut globals, &mut None)
-            .unwrap();
-        assert_eq!(globals[0].i64(), 5);
+        exec(Instruction::LocalTee(0), &mut stack, &mut locals, &mut inst).unwrap();
+        exec(Instruction::GlobalSet(0), &mut stack, &mut locals, &mut inst).unwrap();
+        assert_eq!(inst.globals[0].i64(), 5);
         assert!(stack.is_empty());
     }
 
     #[test]
     fn memory_load_store_subwidth() {
-        let mut mem = Some(LinearMemory::new(Limits::new(1, None)));
-        let mut stack = vec![Slot::from_u32(16), Slot::from_i32(-1)];
-        exec_simple(
-            &Instruction::I32Store8(MemArg::default()),
-            &mut stack,
-            &mut [],
-            &mut [],
-            &mut mem,
-        )
-        .unwrap();
-        let mut stack = vec![Slot::from_u32(16)];
-        exec_simple(
-            &Instruction::I32Load8S(MemArg::default()),
-            &mut stack,
-            &mut [],
-            &mut [],
-            &mut mem,
-        )
-        .unwrap();
-        assert_eq!(stack.pop().unwrap().i32(), -1);
-        let mut stack = vec![Slot::from_u32(16)];
-        exec_simple(
-            &Instruction::I32Load8U(MemArg::default()),
-            &mut stack,
-            &mut [],
-            &mut [],
-            &mut mem,
-        )
-        .unwrap();
-        assert_eq!(stack.pop().unwrap().i32(), 255);
+        let mut inst = instance();
+        for offset in [0, 300] {
+            let a = MemArg { align: 0, offset };
+            let mut stack = vec![Slot::from_u32(16), Slot::from_i32(-1)];
+            exec(Instruction::I32Store8(a), &mut stack, &mut [], &mut inst).unwrap();
+            assert_eq!(inst.memory().unwrap().read_bytes(16 + offset, 1).unwrap(), [0xff]);
+            let mut stack = vec![Slot::from_u32(16)];
+            exec(Instruction::I32Load8S(a), &mut stack, &mut [], &mut inst).unwrap();
+            assert_eq!(stack.pop().unwrap().i32(), -1);
+            let mut stack = vec![Slot::from_u32(16)];
+            exec(Instruction::I32Load8U(a), &mut stack, &mut [], &mut inst).unwrap();
+            assert_eq!(stack.pop().unwrap().i32(), 255);
+        }
     }
 
     #[test]
@@ -636,9 +710,49 @@ mod tests {
 
     #[test]
     fn control_flow_is_not_simple() {
-        let mut stack = vec![];
-        let out = exec_simple(&Instruction::Return, &mut stack, &mut [], &mut [], &mut None);
+        let mut inst = instance();
+        let out = exec(Instruction::Return, &mut vec![], &mut [], &mut inst);
         assert!(matches!(out, Ok(Simple::NotSimple)));
+        assert_eq!(inst.stats().instrs_retired, 0);
+    }
+
+    #[test]
+    fn simple_ops_retire_once_before_their_effect() {
+        // Out of fuel: the op is charged, then traps before touching memory.
+        let mut inst = instance();
+        inst.set_fuel(Some(0));
+        let mut stack = vec![Slot::from_u32(0), Slot::from_i32(7)];
+        let out = exec(Instruction::I32Store(MemArg::default()), &mut stack, &mut [], &mut inst);
+        assert_eq!(out.err(), Some(Trap::OutOfFuel));
+        assert_eq!(inst.stats().instrs_retired, 1);
+        assert_eq!(inst.memory().unwrap().read_bytes(0, 4).unwrap(), [0; 4]);
+        assert_eq!(stack.len(), 2, "operands untouched");
+        // Peak stack is the depth the op saw on entry.
+        let mut inst = instance();
+        let mut stack = vec![Slot::from_i32(1), Slot::from_i32(2)];
+        exec(Instruction::I32Add, &mut stack, &mut [], &mut inst).unwrap();
+        assert_eq!(inst.stats().peak_stack_slots, 2);
+        assert_eq!(inst.stats().instrs_retired, 1);
+    }
+
+    #[test]
+    fn unknown_and_truncated_code_trap_instead_of_panicking() {
+        let mut inst = instance();
+        let mut pc = 1;
+        let out = exec_simple(0xff, &[0xff], &mut pc, &mut vec![], &mut [], &mut inst);
+        assert!(matches!(out, Err(Trap::HostError(_))));
+        // local.get with its LEB immediate cut off.
+        let mut pc = 1;
+        let out = exec_simple(
+            op::LOCAL_GET,
+            &[op::LOCAL_GET, 0x80],
+            &mut pc,
+            &mut vec![],
+            &mut [],
+            &mut inst,
+        );
+        assert!(matches!(out, Err(Trap::HostError(_))));
+        assert_eq!(inst.stats().instrs_retired, 0, "nothing retired on a decode failure");
     }
 
     #[test]

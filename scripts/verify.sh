@@ -7,8 +7,17 @@ cd "$(dirname "$0")/.."
 echo "== cargo build --release =="
 cargo build --release --offline
 
-echo "== cargo test -q =="
-cargo test -q --offline
+echo "== cargo test -q --workspace =="
+# Every crate's unit, integration and property tests — among them the wasm
+# tier-equivalence and accounting-parity properties and
+# tests/wasm_conformance.rs — not only the root package's.
+cargo test -q --offline --workspace
+
+echo "== benchmark tests (perfbench) =="
+# The benchmark is a workspace of its own: catalogue shape, and smoke runs
+# of every workload that cross-check density against measure_cell and the
+# DES against its reference loop.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml
 
 echo "== cargo fmt --check =="
 cargo fmt --check

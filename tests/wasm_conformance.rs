@@ -500,3 +500,44 @@ fn epoch_interrupt_is_identical_under_fusion() {
     }
     assert_fused(build);
 }
+
+/// `_start` of a workload module on the in-place tier, under WASI bound to a
+/// process on a fresh kernel: the `(instrs_retired, peak_stack_slots,
+/// side_table_bytes)` the engine profiles charge as simulated CPU time and
+/// memory.
+fn inplace_start_stats(cfg: &memwasm::workloads::MicroserviceConfig) -> (u64, u64, u64) {
+    use memwasm::simkernel::{Kernel, KernelConfig, ProcessImage};
+    let module = memwasm::wasm_core::decode_module(
+        memwasm::workloads::module::microservice_module_bytes(cfg),
+    )
+    .expect("decode");
+    let kernel = Kernel::boot(KernelConfig::default());
+    let guard = ProcessImage::spawn(&kernel, "golden", Kernel::ROOT_CGROUP).build().expect("spawn");
+    let imports = memwasm::wasi_sys::WasiCtx::new(kernel.clone(), guard.pid()).into_imports();
+    let mut inst = Instance::instantiate(Arc::new(module), imports, InstanceConfig::default())
+        .expect("instantiate");
+    inst.run_start().expect("_start");
+    guard.exit(0).expect("exit");
+    let s = inst.stats();
+    (s.instrs_retired, s.peak_stack_slots, s.side_table_bytes)
+}
+
+#[test]
+fn inplace_start_stats_are_pinned() {
+    // Golden values: the engines charge `instrs_retired × exec_ns_per_instr`
+    // as simulated CPU (engines' exec pipeline, containerd's sandbox API),
+    // so any host-speed change to the in-place tier must leave these exact
+    // counts — and with them every simulated startup figure — untouched.
+    use memwasm::harness::Workload;
+    use memwasm::workloads::MicroserviceConfig;
+    let cases = [
+        ("default", MicroserviceConfig::default(), (1_196_017, 4, 24)),
+        ("compute_heavy", MicroserviceConfig::compute_heavy(), (11_960_017, 4, 24)),
+        ("memory_heavy", MicroserviceConfig::memory_heavy(), (2_392_017, 4, 24)),
+        ("light", Workload::light().wasm, (29_917, 4, 24)),
+        ("serving", Workload::serving().wasm, (29_917, 4, 24)),
+    ];
+    for (name, cfg, want) in cases {
+        assert_eq!(inplace_start_stats(&cfg), want, "{name}");
+    }
+}
